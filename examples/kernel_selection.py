@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
-"""Kernel selection: the graph-kernel registry behind ``Session``.
+"""Kernel selection: ``sets`` vs ``bitset`` behind ``Session``.
 
 Every enumeration call runs on a *graph kernel* — the data structure
 the hot subroutines (neighborhoods, components, PMC checks) execute on.
-Kernels live in a registry (`repro.graphs.kernels`); the default
-``kernel="auto"`` resolves to the fastest available one (``numpy`` when
-importable, else the pure-python ``bitset``), and all kernels produce
-bit-for-bit identical ranked output.
+Two kernels exist (`repro.graphs.kernels.KERNELS`): ``sets``, the
+label-level oracle, and ``bitset``, the default; ``kernel="auto"`` is an
+alias of ``bitset``.  Both produce bit-for-bit identical ranked output.
 
-This example
-
-1. inspects the registry and what ``"auto"`` resolves to,
-2. times the same enumeration under each available kernel,
-3. registers a custom kernel and uses it by name, end to end.
+This example times the same enumeration under each kernel and checks
+that the answers match.
 
 Run:  python examples/kernel_selection.py
 """
@@ -20,31 +16,15 @@ Run:  python examples/kernel_selection.py
 import time
 
 from repro.api import Session
-from repro.graphs.bitgraph import BitGraph
 from repro.graphs.generators import grid_graph
-from repro.graphs.kernels import (
-    KernelSpec,
-    available_kernels,
-    register_kernel,
-    registered_kernels,
-    resolve_kernel,
-    unregister_kernel,
-)
+from repro.graphs.kernels import KERNELS, resolve_kernel
 
 
 def main() -> None:
-    print("=== The registry ===")
-    for spec in registered_kernels():
-        tags = ", ".join(sorted(spec.capabilities)) or "-"
-        state = "available" if spec.is_available() else "UNAVAILABLE"
-        print(f"  {spec.name:>8}  priority={spec.priority:<3} [{tags}]  "
-              f"{state}: {spec.description}")
-    print(f"  'auto' resolves to: {resolve_kernel('auto').name!r}")
-
-    print("\n=== Same answers under every kernel ===")
+    print(f"kernels: {tuple(KERNELS)}; 'auto' -> {resolve_kernel('auto').name!r}")
     graph = grid_graph(4, 4)
     sequences = {}
-    for name in available_kernels():
+    for name in KERNELS:
         session = Session(kernel=name)
         started = time.perf_counter()
         response = session.top(graph, "fill", k=5)
@@ -52,33 +32,10 @@ def main() -> None:
         sequences[name] = [
             (r.cost, frozenset(r.triangulation.bags)) for r in response
         ]
-        print(f"  {name:>8}: top-5 in {elapsed:.3f}s  "
+        print(f"  {name:>6}: top-5 in {elapsed:.3f}s  "
               f"(stats.kernel={response.stats.kernel!r})")
-    assert len(set(map(tuple, sequences.values()))) == 1, "kernels diverged!"
-    print("  all kernels emitted the identical ranked sequence")
-
-    print("\n=== Registering a custom kernel ===")
-    # A real custom kernel would bring its own BitGraph subclass with
-    # faster primitives; re-badging BitGraph is enough to show the
-    # plumbing: once registered, the name works everywhere kernel names
-    # do (Session, the service wire protocol, the CLI --kernel choices).
-    register_kernel(
-        KernelSpec(
-            name="mine",
-            description="custom kernel demo (BitGraph re-badged)",
-            build=lambda g, indexer=None: BitGraph.from_graph(g, indexer),
-            capabilities=frozenset({"masks"}),
-            priority=5,  # above "sets", below "bitset"/"numpy"
-        )
-    )
-    try:
-        print(f"  available_kernels() -> {available_kernels()}")
-        session = Session(kernel="mine")
-        response = session.top(graph, "fill", k=3)
-        print(f"  Session(kernel='mine').top(...) served {len(response)} "
-              f"answers, stats.kernel={response.stats.kernel!r}")
-    finally:
-        unregister_kernel("mine")
+    assert sequences["sets"] == sequences["bitset"], "kernels diverged!"
+    print("  both kernels emitted the identical ranked sequence")
 
 
 if __name__ == "__main__":

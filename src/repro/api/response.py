@@ -60,7 +60,7 @@ class EnumerationStats:
     kernel:
         The resolved graph-kernel name the serving session builds
         contexts with (never ``"auto"``; empty only for stats objects
-        minted by pre-registry code paths).
+        built outside a :class:`~repro.api.session.Session`).
     """
 
     fingerprint: str

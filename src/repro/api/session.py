@@ -44,7 +44,7 @@ from ..core.spanning import clique_trees
 from ..costs.registry import resolve_cost
 from ..engine import ExpansionStrategy
 from ..graphs.graph import Graph
-from ..graphs.kernels import KernelSpec
+from ..graphs.kernels import KERNELS, Kernel, validate_kernel
 from ..preprocess.recompose import (
     ComposedCheckpoint,
     ComposedRankedStream,
@@ -138,14 +138,12 @@ class Session:
         count.  Avoid strategy *instances* here — one instance cannot
         serve overlapping streams.
     kernel:
-        Graph kernel used when this session builds a context: a
-        registered kernel name, a :class:`~repro.graphs.kernels
-        .KernelSpec`, or the default ``"auto"`` policy (highest-priority
-        available kernel — numpy when importable, else bitset).
-        ``"auto"`` is resolved here at construction, so cache keys and
-        reported stats always carry a concrete kernel name.  All kernels
-        serve bit-identical enumeration sequences — see the README
-        "Performance" section for how to choose or register one.
+        Graph kernel used when this session builds a context:
+        ``"bitset"``, ``"sets"``, or the default ``"auto"`` alias of
+        ``"bitset"``.  ``"auto"`` is resolved here at construction, so
+        cache keys and reported stats always carry a concrete kernel
+        name.  Both kernels serve bit-identical enumeration sequences —
+        see the README "Kernels" section.
     preprocess:
         Default for requests that do not say: ``True`` (default) routes
         eligible requests through the preprocessing pipeline — safe
@@ -177,19 +175,16 @@ class Session:
         self,
         max_contexts: int = 8,
         engine: "object | None" = None,
-        kernel: "str | KernelSpec" = "auto",
+        kernel: str = "auto",
         preprocess: bool = True,
         cache_dir: "str | None" = None,
         store: "object | None" = None,
     ) -> None:
-        from ..graphs.kernels import resolve_kernel
-
         if max_contexts < 1:
             raise ValueError(f"max_contexts must be >= 1, got {max_contexts}")
         self._max_contexts = max_contexts
         self._engine = engine
-        self._kernel_spec = resolve_kernel(kernel)
-        self._kernel = self._kernel_spec.name
+        self._kernel = validate_kernel(kernel)
         self._preprocess = bool(preprocess)
         if store is not None:
             self._store = store
@@ -366,15 +361,15 @@ class Session:
         return pair
 
     @property
-    def kernel(self) -> "KernelSpec":
-        """The resolved :class:`~repro.graphs.kernels.KernelSpec` this
+    def kernel(self) -> Kernel:
+        """The resolved :class:`~repro.graphs.kernels.Kernel` this
         session builds contexts with (``"auto"`` never survives
-        construction, so this is always a concrete registered spec)."""
-        return self._kernel_spec
+        construction)."""
+        return KERNELS[self._kernel]
 
     @property
     def kernel_name(self) -> str:
-        """The resolved kernel's registry name (what cache keys carry)."""
+        """The resolved kernel's name (what cache keys carry)."""
         return self._kernel
 
     @property

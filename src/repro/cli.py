@@ -47,20 +47,18 @@ def _positive_int(raw: str) -> int:
 def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
     """The shared ``--kernel`` flag of every context-building subcommand.
 
-    Choices come from the kernel registry, so a kernel registered before
-    argument parsing (e.g. in a sitecustomize or plugin) is immediately
-    selectable.  The default ``auto`` resolves to the fastest available
-    registered kernel; the output is identical under every choice.
+    Choices come from the kernel map; the default ``auto`` is an alias
+    of ``bitset``.  The output is identical under every choice.
     """
-    from .graphs.kernels import AUTO_KERNEL, available_kernels
+    from .graphs.kernels import AUTO_KERNEL, KERNELS
 
     parser.add_argument(
         "--kernel",
         default=AUTO_KERNEL,
-        choices=(AUTO_KERNEL, *available_kernels()),
-        help="graph kernel for the enumeration hot path (default: auto = "
-        "fastest available registered kernel); the output is identical "
-        "under every kernel",
+        choices=(AUTO_KERNEL, *KERNELS),
+        help="graph kernel for the enumeration hot path: bitset = dense "
+        "bitmask kernel (auto, the default, is an alias of it), sets = "
+        "label-level reference; the output is identical either way",
     )
 
 

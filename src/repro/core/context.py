@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..graphs.bitgraph import BitGraph, VertexIndexer
-from ..graphs.kernels import KernelSpec, resolve_kernel
+from ..graphs.kernels import resolve_kernel
 from ..graphs.graph import Graph, Vertex
 from ..graphs.ordering import vertex_set_sort_key
 from ..separators.berry import minimal_separator_masks, minimal_separators
@@ -92,10 +92,10 @@ class TriangulationContext:
     width_bound: int | None = None
     init_seconds: float = 0.0
     #: Which graph kernel built (and serves) this context — always a
-    #: concrete registered name (``"auto"`` is resolved by :meth:`build`
-    #: before anything is keyed on it).  Mask-level kernels keep a dense
-    #: encoding for the component/neighborhood hot paths; ``"sets"`` is
-    #: the pure label-level original.
+    #: concrete name (``"auto"`` is resolved by :meth:`build` before
+    #: anything is keyed on it).  ``"bitset"`` keeps a dense encoding for
+    #: the component/neighborhood hot paths; ``"sets"`` is the pure
+    #: label-level original.
     kernel: str = "sets"
     indexer: VertexIndexer | None = field(default=None, repr=False)
     bitgraph: BitGraph | None = field(default=None, repr=False)
@@ -119,7 +119,7 @@ class TriangulationContext:
         width_bound: int | None = None,
         separator_limit: int | None = None,
         pmc_limit: int | None = None,
-        kernel: str | KernelSpec = "auto",
+        kernel: str = "auto",
     ) -> "TriangulationContext":
         """Run the initialization step for ``graph``.
 
@@ -140,22 +140,20 @@ class TriangulationContext:
             :class:`~repro.separators.berry.SeparatorLimitExceeded`.  This
             is how the experiment harness detects poly-MS violations.
         kernel:
-            A registered kernel name or :class:`KernelSpec` (see
-            :mod:`repro.graphs.kernels`).  The default ``"auto"`` policy
-            resolves to the highest-priority available kernel (numpy when
-            importable, else bitset) **here**, so the stored
-            :attr:`kernel` — and everything keyed on it, cache keys most
-            of all — is always a concrete name.  Mask-level kernels run
-            the enumeration hot path — minimal separators, PMCs, full
+            A kernel name (see :mod:`repro.graphs.kernels`).  The
+            default ``"auto"`` alias resolves to ``"bitset"`` **here**, so
+            the stored :attr:`kernel` — and everything keyed on it, cache
+            keys most of all — is always a concrete name.  ``"bitset"``
+            runs the enumeration hot path — minimal separators, PMCs, full
             blocks, component queries — over dense adjacency bitmasks,
             translating vertex labels to dense ints exactly once here at
             the context boundary.  ``"sets"`` keeps the pure label-level
             path (useful for debugging and as the differential-testing
-            reference).  All kernels produce identical contexts and
+            reference).  Both kernels produce identical contexts and
             identical downstream enumeration order.
         """
         started = time.perf_counter()
-        spec = resolve_kernel(kernel)
+        kernel = resolve_kernel(kernel)
         if graph.num_vertices() and not graph.is_connected():
             raise ValueError(
                 "TriangulationContext requires a connected graph; "
@@ -165,9 +163,9 @@ class TriangulationContext:
         indexer: VertexIndexer | None = None
         bitgraph: BitGraph | None = None
         sep_masks: set[int] | None = None
-        if spec.uses_masks and graph.num_vertices():
+        if kernel.build is not None and graph.num_vertices():
             indexer = VertexIndexer(graph.vertices)
-            bitgraph = spec.build_graph(graph, indexer)
+            bitgraph = kernel.build(graph, indexer)
             if separators is None:
                 sep_masks = minimal_separator_masks(
                     bitgraph, limit=separator_limit
@@ -183,12 +181,12 @@ class TriangulationContext:
         else:
             if separators is None:
                 separators = minimal_separators(
-                    graph, limit=separator_limit, kernel=spec
+                    graph, limit=separator_limit, kernel=kernel.name
                 )
             if pmcs is None:
                 pmcs = potential_maximal_cliques(
                     graph, separators=separators, budget=pmc_limit,
-                    kernel=spec,
+                    kernel=kernel.name,
                 )
         if width_bound is not None:
             separators = {s for s in separators if len(s) <= width_bound}
@@ -256,7 +254,7 @@ class TriangulationContext:
             family=family,
             width_bound=width_bound,
             init_seconds=time.perf_counter() - started,
-            kernel=spec.name,
+            kernel=kernel.name,
             indexer=indexer,
             bitgraph=bitgraph,
             _pmc_order=pmc_order,

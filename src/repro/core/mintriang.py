@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import KernelSpec
 from ..costs.base import Bag, BagCost, INFEASIBLE
 from ..separators.blocks import Block
 from ..triangulation.saturate import saturate_bags
@@ -210,7 +209,7 @@ def min_triangulation(
     cost: BagCost,
     context: TriangulationContext | None = None,
     width_bound: int | None = None,
-    kernel: "str | KernelSpec" = "auto",
+    kernel: str = "auto",
 ) -> Triangulation | None:
     """Minimum-``κ`` minimal triangulation of ``graph``.
 
@@ -234,7 +233,7 @@ def min_triangulation(
         Restrict to triangulations of width ≤ bound (``MinTriangB``).
     kernel:
         Graph kernel for the context initialization when none is passed
-        in: a registered name, a spec, or ``"auto"`` (default) — see
+        in: ``"sets"``, ``"bitset"`` or ``"auto"`` (default) — see
         :meth:`TriangulationContext.build`.
     """
     if context is not None:

@@ -130,22 +130,18 @@ def render_metrics(snapshot: dict, service: dict | None = None) -> str:
         [(backend_label, 1)],
     )
 
-    # Kernel registry, modelled on backend_info: one series per
-    # registered kernel, value 1 when its availability probe passes,
-    # with the "auto" resolution carried as a label on each series.
+    # Kernels, modelled on backend_info: one series per kernel (value
+    # always 1), with the "auto" resolution carried as a label.
     from ..service.scheduler import kernel_registry_stats
 
     kernels = kernel_registry_stats()
     page.metric(
         "kernel_info", "gauge",
-        "Registered graph kernels (value is 1 when available); the "
-        "'auto' label names the kernel the auto policy resolves to.",
+        "Graph kernels (value is always 1); the 'auto' label names "
+        "the kernel 'auto' resolves to.",
         [
-            (
-                {"kernel": name, "auto": kernels["auto"]},
-                1 if entry["available"] else 0,
-            )
-            for name, entry in sorted(kernels["registered"].items())
+            ({"kernel": name, "auto": kernels["auto"]}, 1)
+            for name in sorted(kernels["available"])
         ],
     )
     if "workers" in telemetry:

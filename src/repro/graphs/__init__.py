@@ -3,12 +3,9 @@
 from .graph import Graph, Vertex, Edge
 from .bitgraph import BitGraph, VertexIndexer, iter_bits
 from .kernels import (
-    KernelSpec,
-    available_kernels,
-    register_kernel,
-    registered_kernels,
+    KERNELS,
+    Kernel,
     resolve_kernel,
-    unregister_kernel,
     validate_kernel,
 )
 from .chordal import (
@@ -38,12 +35,9 @@ __all__ = [
     "BitGraph",
     "VertexIndexer",
     "iter_bits",
-    "KernelSpec",
-    "available_kernels",
-    "register_kernel",
-    "registered_kernels",
+    "KERNELS",
+    "Kernel",
     "resolve_kernel",
-    "unregister_kernel",
     "validate_kernel",
     "maximum_cardinality_search",
     "is_perfect_elimination_order",

@@ -1,262 +1,72 @@
-"""First-class kernel registry: name → capability spec → builder.
+"""The graph kernels: a fixed name → builder map.
 
-Kernel selection used to be a hardcoded ``KERNELS = ("bitset", "sets")``
-tuple string-threaded through every layer of the stack.  This module
-replaces the tuple with a registry of :class:`KernelSpec` entries so a
-new kernel (the numpy one in :mod:`repro.graphs.npgraph`, or a caller's
-own) plugs in at exactly one point and is immediately visible to the
+Two kernels exist, and every layer that takes a kernel name — the
 ``Session`` API, the context builder, the service wire protocol, the
-gateway, the CLI ``--kernel`` choices, and the differential test
-harness.
+gateway, the CLI ``--kernel`` choices — validates it against
+:data:`KERNELS`:
 
-Concepts:
-
-* A **kernel name** is a short string (``"sets"``, ``"bitset"``,
-  ``"numpy"``).  ``"auto"`` is not a kernel: it is a *policy* resolved
-  by :func:`resolve_kernel` to the highest-priority available spec, so
-  that everything downstream of resolution — cache keys most of all —
-  only ever sees concrete names.
-* A :class:`KernelSpec` carries the builder (label graph → mask-level
-  graph), a capability set, an availability probe, and an ``"auto"``
-  priority.  Mask-level specs build :class:`~repro.graphs.bitgraph.BitGraph`
-  instances (or subclasses); the ``"sets"`` oracle has no builder and
+* ``"sets"`` — the label-level frozenset oracle.  It has no builder and
   runs the original label-level code paths.
-* Availability is probed lazily and may change (e.g. the numpy spec
-  honours ``REPRO_DISABLE_NUMPY`` for the no-numpy CI leg), so probes
-  are consulted per call rather than cached at import.
+* ``"bitset"`` — the default.  Its builder encodes the graph as a
+  :class:`~repro.graphs.bitgraph.BitGraph`, and the algorithms take
+  their mask-level paths.
 
-The old entry points stay importable: :func:`validate_kernel` is now a
-registry lookup that also resolves ``"auto"``, and
-``repro.graphs.bitgraph.KERNELS`` remains as a deprecated alias of the
-built-in names.
+``"auto"`` is an alias for ``"bitset"``, resolved by
+:func:`resolve_kernel` before anything keys on the name, so cache keys
+and wire frames only ever see concrete names.  Both kernels produce
+byte-identical ranked output.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bitgraph import BitGraph, VertexIndexer
-from .graph import Graph
+from .bitgraph import BitGraph
 
 __all__ = [
     "AUTO_KERNEL",
-    "KernelSpec",
-    "available_kernels",
-    "register_kernel",
-    "registered_kernels",
+    "KERNELS",
+    "Kernel",
     "resolve_kernel",
-    "unregister_kernel",
     "validate_kernel",
 ]
 
-#: The resolution policy name accepted everywhere a kernel name is:
-#: pick the highest-priority available registered kernel.
+#: Alias accepted everywhere a kernel name is; resolves to ``"bitset"``.
 AUTO_KERNEL = "auto"
-
-#: Environment switch forcing the numpy spec to report unavailable, so
-#: the ``"auto"`` → ``"bitset"`` degradation path is testable without
-#: uninstalling numpy.
-DISABLE_NUMPY_ENV = "REPRO_DISABLE_NUMPY"
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """One registered graph kernel.
+class Kernel:
+    """One graph kernel: its name and its graph builder.
 
-    Parameters
-    ----------
-    name:
-        Registry key; what ``Session(kernel=...)``, the wire protocol,
-        and cache keys carry.
-    description:
-        One line for ``--help`` output and the service ``stats`` op.
-    build:
-        ``(graph, indexer=None) -> BitGraph`` for mask-level kernels;
-        ``None`` for the label-level ``"sets"`` oracle.
-    capabilities:
-        Free-form capability tags.  The stack dispatches on two:
-        ``"masks"`` (the kernel builds a :class:`BitGraph`-compatible
-        object and takes the mask-level hot paths) and ``"batched"``
-        (the built object additionally exposes the batched whole-array
-        operations of :class:`~repro.graphs.npgraph.NumpyBitGraph`).
-    available:
-        Zero-argument probe; a spec whose probe returns ``False`` is
-        skipped by ``"auto"`` and rejected when named explicitly.
-    priority:
-        ``"auto"`` resolution order — highest available priority wins.
+    ``build(graph, indexer=None)`` encodes a label-level graph for the
+    mask-level paths; it is ``None`` for the label-level ``"sets"``
+    oracle.
     """
 
     name: str
-    description: str = ""
-    build: Callable[..., BitGraph] | None = None
-    capabilities: frozenset[str] = frozenset()
-    available: Callable[[], bool] = field(default=lambda: True)
-    priority: int = 0
-
-    @property
-    def uses_masks(self) -> bool:
-        """Whether this kernel runs the mask-level (bitset) hot paths."""
-        return "masks" in self.capabilities
-
-    def build_graph(
-        self, graph: Graph, indexer: VertexIndexer | None = None
-    ) -> BitGraph:
-        """Encode ``graph`` for this kernel (mask-level kernels only)."""
-        if self.build is None:
-            raise ValueError(
-                f"kernel {self.name!r} is label-level and has no builder"
-            )
-        return self.build(graph, indexer)
-
-    def is_available(self) -> bool:
-        """Probe availability (never raises)."""
-        try:
-            return bool(self.available())
-        except Exception:  # pragma: no cover - defensive probe guard
-            return False
+    build: Callable[..., BitGraph] | None
 
 
-_REGISTRY: dict[str, KernelSpec] = {}
+KERNELS: dict[str, Kernel] = {
+    "sets": Kernel("sets", None),
+    "bitset": Kernel("bitset", BitGraph.from_graph),
+}
 
 
-def register_kernel(spec: KernelSpec, *, replace: bool = False) -> KernelSpec:
-    """Add ``spec`` to the registry and return it.
+def resolve_kernel(name: str = AUTO_KERNEL) -> Kernel:
+    """The :class:`Kernel` called ``name``; ``"auto"`` gives ``"bitset"``.
 
-    Registration is immediately visible everywhere kernel names are
-    consumed (``available_kernels`` drives the wire protocol, gateway,
-    and CLI).  Re-registering a taken name requires ``replace=True``.
+    An unknown name raises ``ValueError`` listing the accepted names.
     """
-    if spec.name == AUTO_KERNEL:
-        raise ValueError(f"{AUTO_KERNEL!r} is the resolution policy, not a kernel name")
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"kernel {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
+    kernel = KERNELS.get("bitset" if name == AUTO_KERNEL else name)
+    if kernel is None:
+        known = (AUTO_KERNEL, *sorted(KERNELS))
+        raise ValueError(f"unknown graph kernel {name!r}; expected one of {known}")
+    return kernel
 
 
-def unregister_kernel(name: str) -> None:
-    """Remove a registered kernel (primarily for tests)."""
-    if name in ("sets", "bitset"):
-        raise ValueError(f"the built-in kernel {name!r} cannot be unregistered")
-    _REGISTRY.pop(name, None)
-
-
-def registered_kernels() -> tuple[KernelSpec, ...]:
-    """All registered specs, highest ``"auto"`` priority first."""
-    return tuple(
-        sorted(_REGISTRY.values(), key=lambda s: (-s.priority, s.name))
-    )
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Names of the registered kernels whose availability probe passes.
-
-    This is the single source of truth for what a kernel name may be:
-    the wire protocol, the gateway handlers, and the CLI ``--kernel``
-    choices all validate against it (plus the ``"auto"`` policy).
-    """
-    return tuple(s.name for s in registered_kernels() if s.is_available())
-
-
-def resolve_kernel(kernel: str | KernelSpec = AUTO_KERNEL) -> KernelSpec:
-    """Resolve a kernel name, spec, or the ``"auto"`` policy to a spec.
-
-    ``"auto"`` picks the highest-priority spec whose availability probe
-    passes (numpy when importable, else bitset).  Naming an unknown or
-    unavailable kernel raises ``ValueError`` — graceful degradation is
-    the policy's job, never a silent substitution under an explicit
-    name.
-    """
-    if isinstance(kernel, KernelSpec):
-        registered = _REGISTRY.get(kernel.name)
-        if registered is not kernel:
-            raise ValueError(
-                f"kernel spec {kernel.name!r} is not the registered spec; "
-                "register it with register_kernel() first"
-            )
-        kernel = kernel.name
-    if kernel == AUTO_KERNEL:
-        for spec in registered_kernels():
-            if spec.is_available():
-                return spec
-        raise ValueError("no registered kernel is available")
-    spec = _REGISTRY.get(kernel)
-    if spec is None:
-        known = (AUTO_KERNEL, *(s.name for s in registered_kernels()))
-        raise ValueError(
-            f"unknown graph kernel {kernel!r}; expected one of {known}"
-        )
-    if not spec.is_available():
-        raise ValueError(
-            f"graph kernel {kernel!r} is registered but unavailable "
-            f"(available: {available_kernels()})"
-        )
-    return spec
-
-
-def validate_kernel(kernel: str | KernelSpec) -> str:
-    """Resolve ``kernel`` and return the concrete kernel *name*.
-
-    The historical entry point, now a registry lookup.  Note that
-    ``validate_kernel("auto")`` returns the resolved concrete name —
-    callers that persist or key on the result (cache keys, wire frames)
-    therefore never see ``"auto"``.
-    """
-    return resolve_kernel(kernel).name
-
-
-# ----------------------------------------------------------------------
-# Built-in kernels
-# ----------------------------------------------------------------------
-def _build_bitset(graph: Graph, indexer: VertexIndexer | None = None) -> BitGraph:
-    return BitGraph.from_graph(graph, indexer)
-
-
-def _numpy_available() -> bool:
-    if os.environ.get(DISABLE_NUMPY_ENV):
-        return False
-    try:
-        from . import npgraph  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _build_numpy(graph: Graph, indexer: VertexIndexer | None = None) -> BitGraph:
-    from .npgraph import NumpyBitGraph
-
-    return NumpyBitGraph.from_graph(graph, indexer)
-
-
-register_kernel(
-    KernelSpec(
-        name="sets",
-        description="label-level frozenset oracle (slow, obviously correct)",
-        build=None,
-        capabilities=frozenset({"oracle"}),
-        priority=0,
-    )
-)
-
-register_kernel(
-    KernelSpec(
-        name="bitset",
-        description="pure-python int-mask kernel (word-parallel, no deps)",
-        build=_build_bitset,
-        capabilities=frozenset({"masks"}),
-        priority=10,
-    )
-)
-
-register_kernel(
-    KernelSpec(
-        name="numpy",
-        description="numpy uint64-array kernel (batched whole-array ops)",
-        build=_build_numpy,
-        capabilities=frozenset({"masks", "batched"}),
-        available=_numpy_available,
-        priority=20,
-    )
-)
+def validate_kernel(name: str) -> str:
+    """The concrete kernel name for ``name`` (``"auto"`` → ``"bitset"``)."""
+    return resolve_kernel(name).name

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 
 from ..graphs.bitgraph import BitGraph, iter_bits
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import KernelSpec, resolve_kernel
+from ..graphs.kernels import resolve_kernel
 
 Separator = frozenset[Vertex]
 
@@ -98,22 +98,21 @@ def _close_separators(graph: Graph, removed: set[Vertex]) -> Iterator[Separator]
 
 
 def iter_minimal_separators(
-    graph: Graph, kernel: str | KernelSpec = "auto"
+    graph: Graph, kernel: str = "auto"
 ) -> Iterator[Separator]:
     """Yield every minimal separator of ``graph`` exactly once (BBC).
 
     The graph need not be connected: separators are found per component
     (the empty set is never yielded).  Yields in no particular order.
-    ``kernel`` selects the execution substrate (a registered kernel name
-    or spec; see :mod:`repro.graphs.kernels`): mask-level kernels run
-    the loop over dense bitmasks — batched whole-array rounds under the
-    numpy kernel — and convert each separator to a label frozenset on
-    emission; ``"sets"`` is the original label-level path.  All kernels
+    ``kernel`` selects the execution substrate (see
+    :mod:`repro.graphs.kernels`): ``"bitset"`` runs the loop over dense
+    bitmasks and converts each separator to a label frozenset on
+    emission; ``"sets"`` is the original label-level path.  Both kernels
     emit exactly the same set of separators.
     """
-    spec = resolve_kernel(kernel)
-    if spec.uses_masks and graph.num_vertices():
-        bitgraph = spec.build_graph(graph)
+    build = resolve_kernel(kernel).build
+    if build is not None and graph.num_vertices():
+        bitgraph = build(graph)
         labels_of = bitgraph.indexer.labels_of
         for mask in iter_minimal_separator_masks(bitgraph):
             yield labels_of(mask)
@@ -171,13 +170,7 @@ def iter_minimal_separator_masks(bitgraph: BitGraph) -> Iterator[int]:
     The logic is line-for-line the set-kernel loop with vertex sets
     replaced by int masks; the ``seen`` set hashes machine ints instead
     of frozensets, and components/neighborhoods are word-parallel.
-    Batched kernels take :func:`_iter_minimal_separator_masks_batched`
-    instead — the same closure computed round by round over whole-array
-    operations.
     """
-    if getattr(bitgraph, "BATCHED", False):
-        yield from _iter_minimal_separator_masks_batched(bitgraph)
-        return
     adj = bitgraph.adj
     full = bitgraph.full_mask
     seen: set[int] = set()
@@ -206,46 +199,6 @@ def iter_minimal_separator_masks(bitgraph: BitGraph) -> Iterator[int]:
                 full & ~removed
             ):
                 yield from admit(nbh)
-
-
-def _iter_minimal_separator_masks_batched(bitgraph: BitGraph) -> Iterator[int]:
-    """Round-based BBC closure over a batched (numpy) kernel.
-
-    The BBC closure is confluent — the final separator set does not
-    depend on the order expansion steps are applied — so instead of a
-    work queue this variant expands the whole frontier of newly admitted
-    separators at once: one batched component sweep generates every
-    candidate neighborhood of the round, one batched minimality filter
-    admits the survivors.  Yield order is rounds of ascending masks
-    (deterministic), and the yielded *set* is identical to the scalar
-    queue's.
-    """
-    adj = bitgraph.adj
-    full = bitgraph.full_mask
-    seen: set[int] = set()
-    rejected: set[int] = set()
-    regions = [
-        full & ~(adj[v] | (1 << v)) for v in iter_bits(full)
-    ]
-    while regions:
-        admitted: list[int] = []
-        candidates = bitgraph.separator_candidates_batch(regions)
-        novel = [c for c in candidates if c not in seen and c not in rejected]
-        if novel:
-            flags = bitgraph.is_minimal_separator_batch(novel)
-            for cand, ok in zip(novel, flags):
-                if ok:
-                    admitted.append(cand)
-                else:
-                    rejected.add(cand)
-        for sep in admitted:
-            seen.add(sep)
-            yield sep
-        regions = [
-            full & ~(sep | adj[x] | (1 << x))
-            for sep in admitted
-            for x in iter_bits(sep)
-        ]
 
 
 def minimal_separator_masks(
@@ -282,7 +235,7 @@ def minimal_separators(
     graph: Graph,
     limit: int | None = None,
     deadline: float | None = None,
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "auto",
 ) -> set[Separator]:
     """All minimal separators of ``graph`` (``MinSep(G)``).
 
@@ -291,11 +244,10 @@ def minimal_separators(
     graph:
         Input graph.
     kernel:
-        A registered kernel name or spec; the ``"auto"`` default picks
-        the fastest available kernel.  Mask-level kernels enumerate over
-        dense bitmasks and convert to label frozensets once per
-        separator; ``"sets"`` is the original label-level path.
-        Identical output under every kernel.
+        ``"bitset"`` (the ``"auto"`` default) enumerates over dense
+        bitmasks and converts to label frozensets once per separator;
+        ``"sets"`` is the original label-level path.  Identical output
+        under both kernels.
     limit:
         If given, raise :class:`SeparatorLimitExceeded` as soon as more than
         ``limit`` separators have been produced.  This implements the

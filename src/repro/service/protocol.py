@@ -392,9 +392,10 @@ class ServiceRequest:
     cost: str = "width"
     k: int | None = None
     width_bound: int | None = None
-    #: Accepts any registered kernel name (or ``"auto"``); normalized to
-    #: the resolved concrete name in ``__post_init__``, so schedulers,
-    #: worker session pools, and cache keys never see ``"auto"``.
+    #: Accepts a name of :data:`repro.graphs.kernels.KERNELS` or
+    #: ``"auto"``; normalized to the concrete name in ``__post_init__``,
+    #: so schedulers, worker session pools, and cache keys never see
+    #: ``"auto"``.
     kernel: str = "bitset"
     preprocess: bool | None = None
     min_distance: int = 1
@@ -408,9 +409,6 @@ class ServiceRequest:
             raise ProtocolError(
                 f"unknown op {self.op!r}; expected one of {', '.join(OPS)}"
             )
-        # Registry-driven kernel validation: any registered, available
-        # kernel (or a spec, or "auto") is accepted the moment it is
-        # registered; the stored value is always the concrete name.
         try:
             resolved = resolve_kernel(self.kernel).name
         except ValueError as exc:
@@ -526,7 +524,7 @@ def parse_request(frame: dict) -> ServiceRequest:
     kernel = frame.get("kernel", "bitset")
     if not isinstance(kernel, str):
         raise ProtocolError(f"kernel must be a string, got {kernel!r}")
-    # Registry membership (including "auto" resolution) is enforced by
+    # Kernel-map membership (and "auto" resolution) is enforced by
     # ServiceRequest.__post_init__ below.
     preprocess = _check_field(frame, "preprocess", bool, "a boolean")
     deadline = _check_field(frame, "deadline", (int, float), "a number")
@@ -600,9 +598,8 @@ class ServiceStatsFrame:
     backend: str
     workers: tuple
     cache: dict = field(default_factory=dict)
-    #: Kernel-registry view: ``{"available": [...], "auto": name,
-    #: "registered": {name: {description, available, priority,
-    #: capabilities}}}`` (empty when talking to an older server).
+    #: Kernel view: ``{"available": [...], "auto": name}`` (empty when
+    #: talking to an older server).
     kernels: dict = field(default_factory=dict)
     raw: bytes = field(compare=False, repr=False, default=b"")
 

@@ -58,11 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..api import Session, load_checkpoint
 from ..api.session import _diverse_selection, _expand_decompositions
-from ..graphs.kernels import (
-    available_kernels,
-    registered_kernels,
-    resolve_kernel,
-)
+from ..graphs.kernels import KERNELS, validate_kernel
 from .protocol import (
     ProtocolError,
     ServiceRequest,
@@ -694,9 +690,9 @@ class InProcessBackend(ExecutionBackend):
         """The shared session serving jobs of ``kernel`` (built lazily).
 
         The pool is keyed by *resolved* kernel name, so ``"auto"`` and
-        the concrete kernel it resolves to share one session.
+        ``"bitset"`` share one session.
         """
-        name = resolve_kernel(kernel).name
+        name = validate_kernel(kernel)
         with self._lock:
             session = self._sessions.get(name)
             if session is None:
@@ -740,26 +736,13 @@ class InProcessBackend(ExecutionBackend):
 
 
 def kernel_registry_stats() -> dict:
-    """The kernel registry as an observability payload.
+    """The kernel map as an observability payload.
 
     Served under ``"kernels"`` in the ``stats`` op and echoed by the
     gateway's ``/metrics`` as ``repro_kernel_info``: which kernels this
-    server knows, which are available right now, and what ``"auto"``
-    resolves to.
+    server knows and what ``"auto"`` resolves to.
     """
-    return {
-        "available": list(available_kernels()),
-        "auto": resolve_kernel("auto").name,
-        "registered": {
-            spec.name: {
-                "description": spec.description,
-                "available": spec.is_available(),
-                "priority": spec.priority,
-                "capabilities": sorted(spec.capabilities),
-            }
-            for spec in registered_kernels()
-        },
-    }
+    return {"available": list(KERNELS), "auto": validate_kernel("auto")}
 
 
 def aggregate_disk_cache(workers: list[dict], extra: "tuple | list" = ()) -> dict:

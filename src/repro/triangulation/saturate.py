@@ -14,10 +14,10 @@ round trip is the heart of the algorithm.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from ..graphs.graph import Graph, Vertex
-from ..graphs.kernels import KernelSpec, resolve_kernel
+from ..graphs.kernels import resolve_kernel
 from ..graphs.cliquetree import minimal_separators_chordal
 
 Separator = frozenset[Vertex]
@@ -31,9 +31,9 @@ __all__ = [
 
 
 def _saturate_masked(
-    graph: Graph, groups: Iterable[Iterable[Vertex]], spec: KernelSpec
+    graph: Graph, groups: Iterable[Iterable[Vertex]], build: Callable
 ) -> Graph:
-    """Saturate every vertex group of ``groups`` via a mask-level kernel.
+    """Saturate every vertex group of ``groups`` via the bitset kernel.
 
     One pass encodes the graph as adjacency bitmasks, each group becomes
     a single mask OR per member (instead of ``O(|U|^2)`` set inserts),
@@ -46,7 +46,7 @@ def _saturate_masked(
         :meth:`Graph.saturate`, so both kernels reject typo'd labels the
         same way instead of the indexer leaking a :class:`KeyError`.
     """
-    bitgraph = spec.build_graph(graph)
+    bitgraph = build(graph)
     mask_of = bitgraph.indexer.mask_of
     for group in groups:
         try:
@@ -62,19 +62,18 @@ def _saturate_masked(
 def saturate_separators(
     graph: Graph,
     separators: Iterable[Separator],
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "auto",
 ) -> Graph:
     """``G`` with every separator in ``separators`` saturated into a clique.
 
     When ``separators`` is a maximal pairwise-parallel set of minimal
     separators the result is a minimal triangulation (Theorem 2.5(1)).
-    Mask-level kernels (any registered spec with the ``"masks"``
-    capability; the ``"auto"`` default) saturate word-parallel over
+    ``"bitset"`` (the ``"auto"`` default) saturates word-parallel over
     adjacency bitmasks; ``"sets"`` mutates a :class:`Graph` copy directly.
     """
-    spec = resolve_kernel(kernel)
-    if spec.uses_masks and graph.num_vertices():
-        return _saturate_masked(graph, separators, spec)
+    build = resolve_kernel(kernel).build
+    if build is not None and graph.num_vertices():
+        return _saturate_masked(graph, separators, build)
     out = graph.copy()
     for s in separators:
         out.saturate(s)
@@ -84,16 +83,16 @@ def saturate_separators(
 def saturate_bags(
     graph: Graph,
     bags: Iterable[Iterable[Vertex]],
-    kernel: str | KernelSpec = "auto",
+    kernel: str = "auto",
 ) -> Graph:
     """``H_T``: the graph obtained from ``G`` by saturating every bag.
 
     This is the graph the constraint semantics of Section 6.1 are defined
     on (``κ[I,X]`` checks clique-ness of constraint separators in ``H_T``).
     """
-    spec = resolve_kernel(kernel)
-    if spec.uses_masks and graph.num_vertices():
-        return _saturate_masked(graph, bags, spec)
+    build = resolve_kernel(kernel).build
+    if build is not None and graph.num_vertices():
+        return _saturate_masked(graph, bags, build)
     out = graph.copy()
     for bag in bags:
         out.saturate(bag)

@@ -116,24 +116,8 @@ def _observed(name, cost, kernel, mode):
     ]
 
 
-def _kernel_params():
-    from repro.graphs.kernels import available_kernels
-
-    params = ["sets", "bitset"]
-    params.append(
-        pytest.param(
-            "numpy",
-            marks=pytest.mark.skipif(
-                "numpy" not in available_kernels(),
-                reason="numpy kernel unavailable",
-            ),
-        )
-    )
-    return params
-
-
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kernel", _kernel_params())
+@pytest.mark.parametrize("kernel", ["sets", "bitset"])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_golden_top20(name, kernel, mode):
     golden = load_golden()
@@ -147,21 +131,18 @@ def test_golden_top20(name, kernel, mode):
 
 
 @pytest.mark.parametrize("name", ["paper-example", "grid-4x4"])
-def test_auto_matches_golden_without_numpy(name, monkeypatch):
-    """The no-numpy degradation leg: with the numpy kernel disabled,
-    ``kernel="auto"`` must resolve to ``bitset`` and reproduce the
-    golden sequences byte-for-byte."""
+def test_auto_matches_golden(name):
+    """The default kernel: ``kernel="auto"`` resolves to ``bitset`` and
+    reproduces the golden sequences byte-for-byte."""
     from repro.graphs.kernels import resolve_kernel
 
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
     assert resolve_kernel("auto").name == "bitset"
     golden = load_golden()
     _factory, decoder = GRAPHS[name]
     for cost in COST_SPECS:
         expected = _decode(golden[name][cost]["direct"], decoder)
         assert _observed(name, cost, "auto", "direct") == expected, (
-            f"{name}/{cost}: auto->bitset diverged from the golden "
-            "sequence with numpy disabled"
+            f"{name}/{cost}: auto->bitset diverged from the golden sequence"
         )
 
 

@@ -8,7 +8,8 @@ lives in ``tests/property/test_kernel_equivalence.py``).
 
 import pytest
 
-from repro.graphs.bitgraph import BitGraph, VertexIndexer, iter_bits, validate_kernel
+from repro.graphs.bitgraph import BitGraph, VertexIndexer, iter_bits
+from repro.graphs.kernels import validate_kernel
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -81,8 +82,8 @@ def test_iter_bits():
 def test_validate_kernel():
     assert validate_kernel("bitset") == "bitset"
     assert validate_kernel("sets") == "sets"
-    # "auto" resolves to a concrete registered name, never itself.
-    assert validate_kernel("auto") in ("numpy", "bitset")
+    # "auto" resolves to the concrete default, never itself.
+    assert validate_kernel("auto") == "bitset"
     with pytest.raises(ValueError):
         validate_kernel("quantum")
 

@@ -1,9 +1,9 @@
-"""Unit tests for the kernel registry (``repro.graphs.kernels``).
+"""Unit tests for the kernel map (``repro.graphs.kernels``).
 
-The registry is the single source of truth for kernel names across the
+The map is the single source of truth for kernel names across the
 Session API, the context builder, the wire protocol, the gateway, and
-the CLI, so its resolution rules — ``"auto"`` priority, availability
-probes, explicit-name strictness — are pinned here in isolation.
+the CLI, so its rules — two kernels, ``"auto"`` as an alias of
+``"bitset"``, unknown names refused — are pinned here in isolation.
 """
 
 import pytest
@@ -12,154 +12,50 @@ from repro.graphs.bitgraph import BitGraph
 from repro.graphs.generators import cycle_graph
 from repro.graphs.kernels import (
     AUTO_KERNEL,
-    DISABLE_NUMPY_ENV,
-    KernelSpec,
-    available_kernels,
-    register_kernel,
-    registered_kernels,
+    KERNELS,
+    Kernel,
     resolve_kernel,
-    unregister_kernel,
     validate_kernel,
 )
 
-HAS_NUMPY = "numpy" in available_kernels()
 
-
-@pytest.fixture
-def scratch_kernel():
-    """Register a throwaway kernel and guarantee cleanup."""
-    spec = register_kernel(
-        KernelSpec(
-            name="test-scratch",
-            description="bitset under a different name, for tests",
-            build=lambda graph, indexer=None: BitGraph.from_graph(
-                graph, indexer
-            ),
-            capabilities=frozenset({"masks"}),
-            priority=-5,
-        )
-    )
-    try:
-        yield spec
-    finally:
-        unregister_kernel("test-scratch")
+class TestMap:
+    def test_exactly_two_kernels(self):
+        assert set(KERNELS) == {"sets", "bitset"}
+        for name, kernel in KERNELS.items():
+            assert kernel.name == name
 
 
 class TestResolution:
     def test_builtins_resolve_by_name(self):
-        assert resolve_kernel("sets").name == "sets"
-        assert resolve_kernel("bitset").name == "bitset"
-        assert not resolve_kernel("sets").uses_masks
-        assert resolve_kernel("bitset").uses_masks
+        assert resolve_kernel("sets") is KERNELS["sets"]
+        assert resolve_kernel("bitset") is KERNELS["bitset"]
 
-    def test_auto_picks_highest_priority_available(self):
-        expected = "numpy" if HAS_NUMPY else "bitset"
-        assert resolve_kernel(AUTO_KERNEL).name == expected
-        assert resolve_kernel().name == expected  # default argument
-
-    def test_auto_degrades_to_bitset_when_numpy_disabled(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        assert resolve_kernel(AUTO_KERNEL).name == "bitset"
-        assert "numpy" not in available_kernels()
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernel unavailable")
-    def test_explicit_numpy_rejected_when_disabled(self, monkeypatch):
-        # Graceful degradation is the policy's job: an explicit name for
-        # an unavailable kernel is an error, never a silent substitute.
-        monkeypatch.setenv(DISABLE_NUMPY_ENV, "1")
-        with pytest.raises(ValueError, match="unavailable"):
-            resolve_kernel("numpy")
+    def test_auto_is_bitset(self):
+        assert resolve_kernel(AUTO_KERNEL) is KERNELS["bitset"]
+        assert resolve_kernel().name == "bitset"  # default argument
 
     def test_unknown_name_lists_known_kernels(self):
-        with pytest.raises(ValueError, match="auto.*sets"):
-            resolve_kernel("quantum")
-
-    def test_registered_spec_instance_accepted(self):
-        spec = resolve_kernel("bitset")
-        assert resolve_kernel(spec) is spec
-
-    def test_unregistered_spec_instance_rejected(self):
-        rogue = KernelSpec(name="bitset", description="impostor")
-        with pytest.raises(ValueError, match="not the registered spec"):
-            resolve_kernel(rogue)
+        for name in ("numpy", "quantum", ""):
+            with pytest.raises(
+                ValueError, match=r"\('auto', 'bitset', 'sets'\)"
+            ):
+                resolve_kernel(name)
 
     def test_validate_kernel_returns_concrete_name(self):
-        assert validate_kernel(AUTO_KERNEL) != AUTO_KERNEL
-        assert validate_kernel(AUTO_KERNEL) in available_kernels()
-
-
-class TestRegistry:
-    def test_priority_order(self):
-        specs = registered_kernels()
-        priorities = [s.priority for s in specs]
-        assert priorities == sorted(priorities, reverse=True)
-        names = [s.name for s in specs]
-        assert names.index("bitset") < names.index("sets")
-        if HAS_NUMPY:
-            assert names.index("numpy") < names.index("bitset")
-
-    def test_register_then_resolve_then_unregister(self, scratch_kernel):
-        assert "test-scratch" in available_kernels()
-        assert resolve_kernel("test-scratch") is scratch_kernel
-        assert validate_kernel("test-scratch") == "test-scratch"
-
-    def test_duplicate_name_needs_replace(self, scratch_kernel):
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel(KernelSpec(name="test-scratch"))
-        replaced = register_kernel(
-            KernelSpec(name="test-scratch", build=scratch_kernel.build,
-                       capabilities=frozenset({"masks"})),
-            replace=True,
-        )
-        assert resolve_kernel("test-scratch") is replaced
-
-    def test_auto_is_not_a_registrable_name(self):
-        with pytest.raises(ValueError, match="policy"):
-            register_kernel(KernelSpec(name=AUTO_KERNEL))
-
-    def test_builtins_cannot_be_unregistered(self):
-        with pytest.raises(ValueError):
-            unregister_kernel("sets")
-        with pytest.raises(ValueError):
-            unregister_kernel("bitset")
-
-    def test_unavailable_kernel_hidden_from_available(self):
-        spec = register_kernel(
-            KernelSpec(name="test-broken", available=lambda: False)
-        )
-        try:
-            assert "test-broken" not in available_kernels()
-            assert spec in registered_kernels()
-            with pytest.raises(ValueError, match="unavailable"):
-                resolve_kernel("test-broken")
-        finally:
-            unregister_kernel("test-broken")
-
-    def test_raising_probe_counts_as_unavailable(self):
-        def boom():
-            raise RuntimeError("probe exploded")
-
-        spec = KernelSpec(name="test-boom", available=boom)
-        assert spec.is_available() is False
+        assert validate_kernel(AUTO_KERNEL) == "bitset"
+        assert validate_kernel("sets") == "sets"
 
 
 class TestSpec:
     def test_label_level_spec_has_no_builder(self):
-        with pytest.raises(ValueError, match="label-level"):
-            resolve_kernel("sets").build_graph(cycle_graph(4))
+        assert resolve_kernel("sets").build is None
 
     def test_mask_spec_builds_equivalent_graph(self):
         g = cycle_graph(5)
-        built = resolve_kernel("bitset").build_graph(g)
+        built = resolve_kernel("bitset").build(g)
+        assert isinstance(built, BitGraph)
         assert built.to_graph() == g
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernel unavailable")
-    def test_numpy_spec_is_batched(self):
-        spec = resolve_kernel("numpy")
-        assert "batched" in spec.capabilities
-        built = spec.build_graph(cycle_graph(5))
-        assert getattr(built, "BATCHED", False)
-        assert built.to_graph() == cycle_graph(5)
 
 
 class TestSessionIntegration:
@@ -167,16 +63,15 @@ class TestSessionIntegration:
         from repro.api import Session
 
         session = Session(kernel="bitset")
-        assert isinstance(session.kernel, KernelSpec)
+        assert isinstance(session.kernel, Kernel)
         assert session.kernel.name == "bitset"
         assert session.kernel_name == "bitset"
 
     def test_session_auto_resolves_before_anything_runs(self):
         from repro.api import Session
 
-        expected = "numpy" if HAS_NUMPY else "bitset"
-        assert Session(kernel="auto").kernel_name == expected
-        assert Session().kernel_name == expected
+        assert Session(kernel="auto").kernel_name == "bitset"
+        assert Session().kernel_name == "bitset"
 
     def test_session_stats_carry_concrete_kernel(self):
         from repro.api import Session
@@ -185,11 +80,8 @@ class TestSessionIntegration:
         response = Session(kernel="bitset").top(g, "fill", k=2)
         assert response.stats.kernel == "bitset"
 
-    def test_session_accepts_registered_spec_object(self, scratch_kernel):
+    def test_session_refuses_unknown_kernel(self):
         from repro.api import Session
 
-        session = Session(kernel=scratch_kernel)
-        g = cycle_graph(5)
-        response = session.top(g, "fill", k=2)
-        assert response.stats.kernel == "test-scratch"
-        assert len(response) == 2
+        with pytest.raises(ValueError, match="unknown graph kernel 'numpy'"):
+            Session(kernel="numpy")

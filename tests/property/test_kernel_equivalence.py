@@ -1,21 +1,16 @@
-"""Differential tests: every fast kernel is *exact* w.r.t. the set kernel.
+"""Differential tests: the bitset kernel is *exact* w.r.t. the set kernel.
 
 The whole point of ranked enumeration is a bit-for-bit ordered output
-stream, so a mask-level kernel (``bitset``, ``numpy``, or anything
-third-party code registers) is only admissible if it is observationally
-identical to the label-level reference.  These tests generate random
-graphs (Hypothesis plus a fixed corpus — well over 200 cases per run)
-and assert, for every registered kernel other than ``sets``,
+stream, so the mask-level ``bitset`` kernel is only admissible if it is
+observationally identical to the label-level ``sets`` reference.  These
+tests generate random graphs (Hypothesis plus a fixed corpus — well over
+200 cases per run) and assert
 
 * identical minimal-separator sets,
 * identical potential-maximal-clique sets,
 * identical crossing-relation answers, and
 * **identical ordered ranked-enumeration prefixes** — same costs, same
   bag sets, same sequence positions, under two different cost specs.
-
-The parametrization is registry-driven: ``numpy`` rows are skip-marked
-when the import probe fails (or ``REPRO_DISABLE_NUMPY`` is set), and any
-extra kernel registered before collection is swept automatically.
 """
 
 import pytest
@@ -24,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Session
 from repro.core.context import TriangulationContext
 from repro.graphs.graph import Graph
-from repro.graphs.kernels import available_kernels, resolve_kernel
+from repro.graphs.kernels import resolve_kernel
 from repro.pmc.enumerate import potential_maximal_cliques
 from repro.separators.berry import minimal_separators
 from repro.separators.crossing import SeparatorFamily
@@ -32,30 +27,8 @@ from repro.separators.crossing import SeparatorFamily
 from ..conftest import connected_random_graphs
 
 
-def _fast_kernel_params():
-    """Every registered non-oracle kernel, skip-marked when unavailable."""
-    avail = available_kernels()
-    params = [pytest.param("bitset", id="bitset")]
-    params.append(
-        pytest.param(
-            "numpy",
-            id="numpy",
-            marks=pytest.mark.skipif(
-                "numpy" not in avail,
-                reason="numpy kernel unavailable (not importable or disabled)",
-            ),
-        )
-    )
-    params.extend(
-        pytest.param(name, id=name)
-        for name in avail
-        if name not in ("sets", "bitset", "numpy")
-    )
-    return params
-
-
-FAST_KERNELS = _fast_kernel_params()
-fast_kernels = pytest.mark.parametrize("kernel", FAST_KERNELS)
+#: The kernels checked against the ``sets`` oracle.
+fast_kernels = pytest.mark.parametrize("kernel", ["bitset"])
 
 
 @st.composite
@@ -99,10 +72,9 @@ def test_pmc_sets_identical(kernel, g):
 @settings(max_examples=40, deadline=None)
 @given(g=small_graphs(max_n=10))
 def test_crossing_relation_identical(kernel, g):
-    spec = resolve_kernel(kernel)
     seps = sorted(minimal_separators(g), key=sorted)
     plain = SeparatorFamily(g, seps)
-    masked = SeparatorFamily(g, seps, bitgraph=spec.build_graph(g))
+    masked = SeparatorFamily(g, seps, bitgraph=resolve_kernel(kernel).build(g))
     for i, s in enumerate(seps):
         for t in seps[i + 1 :]:
             assert plain.crosses(s, t) == masked.crosses(s, t)
@@ -187,8 +159,8 @@ def test_children_of_identical_across_kernels(kernel):
 
 
 # ---------------------------------------------------------------------------
-# Batched-scale equivalence: instances big enough that the numpy kernel's
-# whole-array paths (above its scalar cutoff) actually engage.
+# Larger instances than the Hypothesis strategies draw: grid-4x4 and a
+# 16-vertex gnp graph (110 and 42 minimal separators).
 # ---------------------------------------------------------------------------
 @fast_kernels
 def test_batched_scale_structures_identical(kernel):

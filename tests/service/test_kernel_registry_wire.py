@@ -1,13 +1,12 @@
-"""Registry-driven wire validation: a registered kernel is a valid
-kernel *everywhere*, immediately.
+"""Wire validation against the kernel map: only ``auto``, ``bitset`` and
+``sets`` get past the service boundary.
 
-The ISSUE's regression scenario: third-party code registers a kernel via
-:func:`repro.graphs.kernels.register_kernel` and the name must be
-accepted end-to-end — ``ServiceRequest`` construction, ``parse_request``
-on a decoded frame, the scheduler's session pool, and the HTTP gateway —
-with no hardcoded name list anywhere on the path.  (The end-to-end legs
-run the in-process backend: subprocess workers cannot see kernels
-registered only in the parent.)
+``parse_request`` (the TCP path) and the HTTP gateway validate the
+``kernel`` field by looking it up in :data:`repro.graphs.kernels.KERNELS`.
+A name outside the map — ``"numpy"`` included, which is no kernel of
+this library — is refused with a typed :class:`ProtocolError` (a 400 at
+the gateway) whose message lists the accepted names, and ``"auto"`` is
+normalised to ``"bitset"`` before anything keys on it.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session
-from repro.graphs.bitgraph import BitGraph
 from repro.graphs.generators import paper_example_graph
-from repro.graphs.kernels import (
-    KernelSpec,
-    available_kernels,
-    register_kernel,
-    unregister_kernel,
-)
 from repro.service.protocol import (
     ProtocolError,
     ServiceRequest,
@@ -31,101 +23,83 @@ from repro.service.protocol import (
     serialize_answers,
 )
 
-TEST_KERNEL = "test-wire"
+#: What every refusal message must list, in this order.
+ACCEPTED = r"\('auto', 'bitset', 'sets'\)"
 
 
-@pytest.fixture
-def wire_kernel():
-    spec = register_kernel(
-        KernelSpec(
-            name=TEST_KERNEL,
-            description="bitset rebadged for wire-validation tests",
-            build=lambda graph, indexer=None: BitGraph.from_graph(
-                graph, indexer
-            ),
-            capabilities=frozenset({"masks"}),
-            priority=-10,  # never wins "auto"
-        )
-    )
-    try:
-        yield spec
-    finally:
-        unregister_kernel(TEST_KERNEL)
+def _frame(kernel):
+    return {
+        "type": "request",
+        "op": "top",
+        "graph": graph_to_wire(paper_example_graph()),
+        "cost": "fill",
+        "k": 3,
+        "kernel": kernel,
+    }
 
 
 class TestRequestValidation:
-    def test_registered_kernel_accepted_in_frames(self, wire_kernel):
-        frame = {
-            "type": "request",
-            "op": "top",
-            "graph": graph_to_wire(paper_example_graph()),
-            "cost": "fill",
-            "k": 3,
-            "kernel": TEST_KERNEL,
-        }
-        request = parse_request(frame)
-        assert request.kernel == TEST_KERNEL
-        # And survives a wire round trip.
-        assert parse_request(request.to_frame()).kernel == TEST_KERNEL
+    @pytest.mark.parametrize("kernel", ["numpy", "gpu"])
+    def test_refused_in_parse_request(self, kernel):
+        with pytest.raises(ProtocolError, match=ACCEPTED) as excinfo:
+            parse_request(_frame(kernel))
+        assert repr(kernel) in str(excinfo.value)
 
     def test_unregistered_kernel_rejected_with_registry_names(self):
-        with pytest.raises(ProtocolError, match="sets"):
+        with pytest.raises(ProtocolError, match=ACCEPTED):
             ServiceRequest(
                 op="top", graph=paper_example_graph(), k=3, kernel="gpu"
             )
 
+    @pytest.mark.parametrize("kernel", ["sets", "bitset"])
+    def test_concrete_kernels_accepted(self, kernel):
+        request = parse_request(_frame(kernel))
+        assert request.kernel == kernel
+        assert parse_request(request.to_frame()).kernel == kernel
+
     def test_auto_normalized_to_concrete_name_at_parse_time(self):
-        request = ServiceRequest(
-            op="top", graph=paper_example_graph(), k=3, kernel="auto"
-        )
-        assert request.kernel != "auto"
-        assert request.kernel in available_kernels()
-
-    def test_unavailable_kernel_rejected(self, monkeypatch):
-        if "numpy" not in available_kernels():
-            pytest.skip("numpy kernel unavailable")
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.raises(ProtocolError, match="unavailable"):
-            ServiceRequest(
-                op="top", graph=paper_example_graph(), k=3, kernel="numpy"
-            )
-
-    def test_auto_degrades_on_the_wire(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        assert parse_request(_frame("auto")).kernel == "bitset"
         request = ServiceRequest(
             op="top", graph=paper_example_graph(), k=3, kernel="auto"
         )
         assert request.kernel == "bitset"
+        assert "kernel" not in request.to_frame()  # bitset is the default
 
 
 class TestEndToEnd:
-    def test_registered_kernel_served_by_gateway(self, wire_kernel):
-        from repro.gateway import GatewayClient, GatewayThread
+    def test_gateway_refuses_unknown_kernels_with_400(self):
+        from repro.gateway import GatewayClient, GatewayError, GatewayThread
 
-        graph = paper_example_graph()
+        graph = graph_to_wire(paper_example_graph())
         expected = serialize_answers(
-            Session(kernel="bitset").top(graph, "fill", k=3).results
+            Session(kernel="bitset").top(paper_example_graph(), "fill", k=3)
+            .results
         )
         with GatewayThread(max_workers=1) as handle:
             client = GatewayClient(*handle.address, timeout=60.0)
+            for kernel in ("numpy", "gpu"):
+                with pytest.raises(GatewayError, match=ACCEPTED) as excinfo:
+                    client.submit(
+                        {"op": "top", "graph": graph, "cost": "fill", "k": 3,
+                         "kernel": kernel}
+                    )
+                assert excinfo.value.status == 400
+            # The refusals cost nothing: the server still serves "auto".
             result = client.submit(
-                {
-                    "op": "top",
-                    "graph": graph_to_wire(graph),
-                    "cost": "fill",
-                    "k": 3,
-                    "kernel": TEST_KERNEL,
-                }
+                {"op": "top", "graph": graph, "cost": "fill", "k": 3,
+                 "kernel": "auto"}
             ).collect()
             assert result.answer_lines == expected
             page = client.metrics()
         assert "# TYPE repro_kernel_info gauge" in page
-        assert f'kernel="{TEST_KERNEL}"' in page
+        for name in ("bitset", "sets"):
+            assert f'repro_kernel_info{{auto="bitset",kernel="{name}"}} 1' in page
+        assert 'kernel="numpy"' not in page
 
-    def test_kernel_registry_stats_lists_registered_kernel(self, wire_kernel):
+    def test_kernel_registry_stats_lists_registered_kernel(self):
         from repro.service.scheduler import kernel_registry_stats
 
-        stats = kernel_registry_stats()
-        assert TEST_KERNEL in stats["available"]
-        assert stats["registered"][TEST_KERNEL]["available"] is True
-        assert stats["auto"] in ("numpy", "bitset")
+        assert kernel_registry_stats() == {
+            "available": ["sets", "bitset"],
+            "auto": "bitset",
+        }
